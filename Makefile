@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-warm bench-kkt bench-lb bench-fed bench-sweep bench-gate loadgen fmt vet fuzz-smoke smoke chaos chaos-golden risk-sim sweep ci
+.PHONY: build test race bench bench-warm bench-lb bench-fed bench-sweep bench-gate loadgen fmt vet fuzz-smoke smoke chaos chaos-golden risk-sim sweep ci
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,6 @@ bench:
 # cold vs warm) at 50/200/500 markets — the DESIGN.md §9 numbers.
 bench-warm:
 	$(GO) test -run='^$$' -bench=RecedingHorizonColdVsWarm -benchtime=1x ./internal/portfolio/
-
-# bench-kkt compares the dense and structure-exploiting KKT backends of the
-# MPO ADMM solver (cold solve latency + allocated bytes) and writes the
-# go-test JSON stream to BENCH_kkt.json — the DESIGN.md §10 numbers.
-bench-kkt:
-	sh scripts/bench_kkt.sh
 
 # bench-lb regenerates the LB data-plane baseline (gate benchmarks + loadgen
 # max-RPS) into BENCH_lb.json — run after an intentional data-plane change.
@@ -68,10 +62,16 @@ vet:
 smoke:
 	sh scripts/smoke.sh
 
+# fuzz-smoke runs every Fuzz target of every package for 30s each. Targets
+# are discovered with go test -list: each package's names precede its "ok"
+# line, which carries the import path.
 fuzz-smoke:
-	@for t in $$($(GO) test ./internal/solver -list '^Fuzz' | grep '^Fuzz'); do \
-		echo "==> $$t"; \
-		$(GO) test ./internal/solver -run='^$$' -fuzz="^$$t$$" -fuzztime=30s || exit 1; \
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } \
+		/^ok/ { for (i = 0; i < n; i++) print $$2, t[i] } { n = 0 }' | \
+	while read -r pkg t; do \
+		echo "==> $$pkg $$t"; \
+		$(GO) test "$$pkg" -run='^$$' -fuzz="^$$t$$" -fuzztime=30s || exit 1; \
 	done
 
 # chaos runs the built-in fault-injection suite on the simulator and fails if

@@ -143,25 +143,6 @@ func BenchmarkMPOSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkMPOSolveADMM is the ablation counterpart: the general dense-KKT
-// ADMM backend on the same programs (DESIGN.md calls out the two-solver
-// design choice).
-func BenchmarkMPOSolveADMM(b *testing.B) {
-	for _, n := range []int{9, 36} {
-		b.Run(benchName(n, 4), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			in, cfg := mpoInputs(rng, n, 4)
-			cfg.Solver = portfolio.SolverADMM
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := portfolio.Optimize(cfg, in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // denseMPOInputs is mpoInputs with a dense group-structured risk matrix, the
 // shape the real catalog produces and the one the parallel kernels target.
 func denseMPOInputs(rng *rand.Rand, n, h int) (*portfolio.Inputs, portfolio.Config) {

@@ -45,11 +45,7 @@ func main() {
 		return
 	}
 
-	rc, err := rcFlags.Config()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	rc := rcFlags.Config()
 
 	scenarios, err := selectScenarios(*scenarioPath, *suite)
 	if err != nil {

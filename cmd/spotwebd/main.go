@@ -67,17 +67,14 @@ func main() {
 	chaosScenario := flag.String("chaos-scenario", "", "chaos scenario to replay: a JSON file or a built-in name (empty = none)")
 	chaosDur := flag.Duration("chaos-duration", 10*time.Minute, "wall-clock window the chaos scenario timeline is mapped onto")
 	// The shared RunConfig set: -seed, -parallelism, -high-util, -warm-start,
-	// -kkt, -anchor-min, -sentinel and the -risk trio. The daemon keeps its
+	// -anchor-min, -sentinel and the -risk trio. The daemon keeps its
 	// own wall-clock -warning duration, so the simulator's -warning seconds
 	// override is deliberately absent here.
 	rcFlags := runcfg.BindDaemonFlags(flag.CommandLine)
 	fedFlags := federation.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	rc, err := rcFlags.Config()
-	if err != nil {
-		log.Fatal(err)
-	}
+	rc := rcFlags.Config()
 	seed := rc.RunSeed()
 	anchorMin := rc.AnchorMin
 
@@ -99,6 +96,7 @@ func main() {
 	var cat *spotweb.Catalog
 	var fed *federation.Federation
 	if fedFlags.Enabled() {
+		var err error
 		fed, err = fedFlags.Build(seed, 24*30, false)
 		if err != nil {
 			log.Fatal(err)
@@ -123,7 +121,7 @@ func main() {
 	ctrlOpts := spotweb.ControllerOptions{
 		Catalog: cat,
 		Optimizer: spotweb.OptimizerConfig{Horizon: 4, ChurnKappa: 1.0, Parallelism: rc.Parallelism,
-			DisableWarmStart: rc.ColdStart, KKT: rc.KKT, AMinOnDemand: anchorMin},
+			DisableWarmStart: rc.ColdStart, AMinOnDemand: anchorMin},
 		Metrics:           reg,
 		Federation:        fed,
 		FederationPlanner: fedFlags.PlannerConfig(rc.Parallelism),

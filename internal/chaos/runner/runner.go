@@ -50,7 +50,9 @@ type SimOptions struct {
 	// WarningSec overrides the revocation warning period (0 keeps the
 	// paper's 120 s).
 	WarningSec float64
-	// KKT selects the planner's ADMM x-update backend (zero = auto).
+	// KKT is kept so existing assignments compile.
+	//
+	// Deprecated: it has no settable value and nothing reads it.
 	KKT portfolio.KKTPath
 	// ColdStart disables warm-started receding-horizon solves. Results are
 	// identical; only solve times change.
@@ -80,7 +82,7 @@ func OptionsFrom(sc *chaos.Scenario, rc runcfg.RunConfig) SimOptions {
 		Scenario: sc, Seed: rc.RunSeed(), Quick: rc.Quick,
 		AnchorMin: rc.AnchorMin, Sentinel: rc.Sentinel,
 		HighUtil: rc.HighUtil, WarningSec: rc.WarningSec,
-		KKT: rc.KKT, ColdStart: rc.ColdStart, Parallelism: rc.Parallelism,
+		ColdStart: rc.ColdStart, Parallelism: rc.Parallelism,
 		UseRisk: rc.Risk, RiskQuantile: rc.RiskQuantile, RiskHalfLife: rc.RiskHalfLife,
 	}
 }
@@ -314,11 +316,10 @@ func runOnce(rs runSpec) (*sim.Result, error) {
 }
 
 // applyPlannerOpts threads the solver-shaping SimOptions fields into a leg's
-// portfolio configuration. All of them leave the solution bit-identical
-// (backend selection, warm starting and worker count change only solve
-// times), so the zero values reproduce the golden reports.
+// portfolio configuration. Both leave the solution bit-identical (warm
+// starting and worker count change only solve times), so the zero values
+// reproduce the golden reports.
 func applyPlannerOpts(cfg *portfolio.Config, opt SimOptions) {
-	cfg.KKT = opt.KKT
 	cfg.DisableWarmStart = opt.ColdStart
 	cfg.Parallelism = opt.Parallelism
 }

@@ -179,7 +179,7 @@ func fedRun(opt Options, fopt FedScaleOptions, regions int) ([]FedRound, int, in
 	pcfg := federation.PlannerConfig{
 		Portfolio: portfolio.Config{
 			Horizon: 4, ChurnKappa: 1.0, Parallelism: opt.Parallelism,
-			DisableWarmStart: opt.ColdStart, KKT: opt.KKT,
+			DisableWarmStart: opt.ColdStart,
 		},
 		CoordRounds: fopt.Rounds,
 		Parallelism: opt.Parallelism,

@@ -51,13 +51,13 @@ func Fig7a(w io.Writer, opt Options) Fig7aResult {
 
 	// Every variant keeps SpotWeb's CI padding (§4.3's over-provisioning is
 	// part of the system); only the underlying forecast quality varies.
-	reactive := autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart, KKT: opt.KKT},
+	reactive := autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart},
 		cat, predict.NewPadded(&predict.Reactive{}, 0.99, 4), portfolio.ReactiveSource{Cat: cat})
 	rres := mustRun(cat, wl, reactive, opt, true)
 	res := Fig7aResult{ReactiveCost: CostWithPenalty(rres, 0.02)}
 
 	for _, e := range errs {
-		pol := autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart, KKT: opt.KKT},
+		pol := autoscale.NewSpotWeb(portfolio.Config{Horizon: 4, ChurnKappa: 0.05, DisableWarmStart: opt.ColdStart},
 			cat,
 			predict.NewPadded(&predict.NoisyOracle{
 				Oracle: predict.Oracle{Values: wl.Values}, RelError: e}, 0.99, 4),
@@ -126,7 +126,7 @@ func Fig7b(w io.Writer, opt Options) Fig7bResult {
 				in.FailProb = append(in.FailProb, fails)
 			}
 			cfg := portfolio.Config{Horizon: h, ChurnKappa: 0.05, Parallelism: opt.Parallelism,
-				DisableWarmStart: opt.ColdStart, KKT: opt.KKT}
+				DisableWarmStart: opt.ColdStart}
 			var ms []float64
 			for r := 0; r < reps; r++ {
 				start := time.Now()

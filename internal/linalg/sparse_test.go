@@ -215,103 +215,3 @@ func TestCSRAtBinarySearch(t *testing.T) {
 		t.Fatalf("NNZ = %d, want 10", got)
 	}
 }
-
-func TestCSRMulVecTMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	for iter := 0; iter < 50; iter++ {
-		rows := 1 + rng.Intn(20)
-		cols := 1 + rng.Intn(20)
-		m := NewMatrix(rows, cols)
-		for i := range m.Data {
-			if rng.Float64() < 0.3 {
-				m.Data[i] = rng.NormFloat64()
-			}
-		}
-		c := NewCSRFromDense(m, 0)
-		x := NewVector(rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := NewVector(cols)
-		m.MulVecT(x, want)
-		got := NewVector(cols)
-		c.MulVecT(x, got)
-		for j := range want {
-			if math.Abs(got[j]-want[j]) > 1e-12 {
-				t.Fatalf("iter %d: CSR MulVecT mismatch at %d: %v vs %v", iter, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-func TestCSRFromTriplets(t *testing.T) {
-	// Unsorted input, duplicate coordinates (summed), a duplicate pair that
-	// cancels to zero (dropped), and empty rows 0 and 3.
-	is := []int{2, 1, 1, 2, 2, 1, 1}
-	js := []int{4, 3, 0, 4, 1, 2, 2}
-	vs := []float64{1.5, 2, -1, 0.5, 3, 4, -4}
-	c := NewCSRFromTriplets(4, 5, is, js, vs)
-	want := NewMatrix(4, 5)
-	want.Set(1, 3, 2)
-	want.Set(1, 0, -1)
-	want.Set(2, 4, 2)
-	want.Set(2, 1, 3)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			if got := c.At(i, j); got != want.At(i, j) {
-				t.Fatalf("At(%d,%d) = %v, want %v", i, j, got, want.At(i, j))
-			}
-		}
-	}
-	if c.NNZ() != 4 {
-		t.Fatalf("NNZ = %d, want 4 (duplicates summed, zero sums dropped)", c.NNZ())
-	}
-	// Sorted-column invariant.
-	for r := 0; r < c.Rows; r++ {
-		for k := c.RowPtr[r] + 1; k < c.RowPtr[r+1]; k++ {
-			if c.ColIdx[k-1] >= c.ColIdx[k] {
-				t.Fatalf("row %d columns not strictly increasing", r)
-			}
-		}
-	}
-}
-
-func TestCSRFromTripletsMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for iter := 0; iter < 20; iter++ {
-		rows := 1 + rng.Intn(12)
-		cols := 1 + rng.Intn(12)
-		var is, js []int
-		var vs []float64
-		dense := NewMatrix(rows, cols)
-		for k := 0; k < rng.Intn(60); k++ {
-			i, j, v := rng.Intn(rows), rng.Intn(cols), rng.NormFloat64()
-			is = append(is, i)
-			js = append(js, j)
-			vs = append(vs, v)
-			dense.Add(i, j, v)
-		}
-		c := NewCSRFromTriplets(rows, cols, is, js, vs)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				if math.Abs(c.At(i, j)-dense.At(i, j)) > 1e-12 {
-					t.Fatalf("iter %d: At(%d,%d) = %v, want %v", iter, i, j, c.At(i, j), dense.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestCSRFromTripletsPanics(t *testing.T) {
-	assertPanics := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	assertPanics("length mismatch", func() { NewCSRFromTriplets(2, 2, []int{0}, []int{0, 1}, []float64{1}) })
-	assertPanics("row out of range", func() { NewCSRFromTriplets(2, 2, []int{2}, []int{0}, []float64{1}) })
-	assertPanics("col out of range", func() { NewCSRFromTriplets(2, 2, []int{0}, []int{-1}, []float64{1}) })
-}

@@ -17,26 +17,19 @@ func markOnDemand(n, k int) []bool {
 
 // The anchor bound at zero must be a true no-op: marking on-demand markets
 // with AMinOnDemand = 0 has to reproduce the anchor-free program bit for bit
-// (not within tolerance — identical floats), on every solver backend. This is
-// the guarantee that lets the planner always populate Inputs.OnDemand without
+// (not within tolerance — identical floats). This is the guarantee that lets the planner always populate Inputs.OnDemand without
 // perturbing historical results.
 func TestAnchorZeroBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		n, h   int
-		solver SolverKind
-		kkt    KKTPath
+		name string
+		n, h int
 	}{
-		{"fista", 10, 4, SolverFISTA, KKTAuto},
-		{"admm-dense", 10, 4, SolverADMM, KKTDense},
-		{"admm-sparse", 10, 4, SolverADMM, KKTSparse},
-		{"admm-sparse-large", 24, 8, SolverADMM, KKTSparse},
+		{"fista", 10, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(31 + tc.n)))
-			in := kktInputs(rng, tc.n, tc.h)
-			cfg := kktCfg(tc.h, tc.kkt)
-			cfg.Solver = tc.solver
+			in := randomInputs(rng, tc.n, tc.h)
+			cfg := mpoCfg(tc.h)
 
 			plain, err := Optimize(cfg, in)
 			if err != nil {
@@ -59,12 +52,12 @@ func TestAnchorZeroBitIdentical(t *testing.T) {
 	}
 }
 
-// A positive anchor bound must hold on every period of the plan, on both
-// solver families, and the backends must agree on the anchored solution.
+// A positive anchor bound must hold on every period of the plan, and FISTA
+// must agree with the dense reference solver on the anchored solution.
 func TestAnchorBoundHolds(t *testing.T) {
 	const n, h, bound = 10, 4, 0.4
 	rng := rand.New(rand.NewSource(77))
-	in := kktInputs(rng, n, h)
+	in := randomInputs(rng, n, h)
 	in.OnDemand = markOnDemand(n, 3)
 
 	odShare := func(alloc []float64) float64 {
@@ -77,27 +70,14 @@ func TestAnchorBoundHolds(t *testing.T) {
 		return s
 	}
 
+	cfg := mpoCfg(h)
+	cfg.AMinOnDemand = bound
 	plans := map[string]*Plan{}
-	for name, mk := range map[string]func() Config{
-		"fista": func() Config {
-			c := kktCfg(h, KKTAuto)
-			c.Solver = SolverFISTA
-			return c
-		},
-		"admm-dense": func() Config {
-			c := kktCfg(h, KKTDense)
-			c.Solver = SolverADMM
-			return c
-		},
-		"admm-sparse": func() Config {
-			c := kktCfg(h, KKTSparse)
-			c.Solver = SolverADMM
-			return c
-		},
+	for name, solve := range map[string]func(Config, *Inputs) (*Plan, error){
+		"fista":     Optimize,
+		"reference": optimizeReference,
 	} {
-		cfg := mk()
-		cfg.AMinOnDemand = bound
-		p, err := Optimize(cfg, in)
+		p, err := solve(cfg, in)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -108,7 +88,7 @@ func TestAnchorBoundHolds(t *testing.T) {
 		}
 		plans[name] = p
 	}
-	// Cross-backend agreement on the anchored program.
+	// FISTA and the reference agree on the anchored program.
 	ref := plans["fista"]
 	for name, p := range plans {
 		for τ := 0; τ < h; τ++ {
@@ -127,7 +107,7 @@ func TestAnchorBoundHolds(t *testing.T) {
 func TestAnchorBoundBinds(t *testing.T) {
 	const n, h, bound = 10, 4, 0.5
 	rng := rand.New(rand.NewSource(5))
-	in := kktInputs(rng, n, h)
+	in := randomInputs(rng, n, h)
 	in.OnDemand = markOnDemand(n, 3)
 	// Make the anchor markets expensive and safe — the classic on-demand
 	// profile the optimizer avoids until forced.
@@ -148,8 +128,7 @@ func TestAnchorBoundBinds(t *testing.T) {
 		}
 		return s
 	}
-	cfg := kktCfg(h, KKTAuto)
-	cfg.Solver = SolverFISTA
+	cfg := mpoCfg(h)
 	free, err := Optimize(cfg, in)
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +151,8 @@ func TestAnchorBoundBinds(t *testing.T) {
 
 func TestAnchorValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	in := kktInputs(rng, 6, 3)
-	cfg := kktCfg(3, KKTAuto)
+	in := randomInputs(rng, 6, 3)
+	cfg := mpoCfg(3)
 	cfg.AMinOnDemand = 0.3
 
 	// No on-demand markets marked.
@@ -188,14 +167,14 @@ func TestAnchorValidation(t *testing.T) {
 		t.Fatal("anchor floor above nOD·AMaxPerMarket must fail")
 	}
 	// Floor above the total allocation ceiling.
-	cfg = kktCfg(3, KKTAuto)
+	cfg = mpoCfg(3)
 	cfg.AMinOnDemand = cfg.AMax + 1
 	in.OnDemand = markOnDemand(6, 6)
 	if _, err := Optimize(cfg, in); err == nil {
 		t.Fatal("anchor floor above AMax must fail")
 	}
 	// Mismatched OnDemand length.
-	cfg = kktCfg(3, KKTAuto)
+	cfg = mpoCfg(3)
 	cfg.AMinOnDemand = 0.3
 	in.OnDemand = []bool{true}
 	if _, err := Optimize(cfg, in); err == nil {

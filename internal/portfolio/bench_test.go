@@ -2,7 +2,6 @@ package portfolio
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/market"
@@ -12,9 +11,8 @@ import (
 // fresh planner per b.N iteration and reports mean solver iterations per
 // round over the steady-state tail (after the predictor and the warm-start
 // chain have settled), so the nightly artifact records the warm-start
-// speedup (the ISSUE's ≥2× acceptance gate at admm-n200) next to PR 1's
-// serial-vs-parallel split.
-func benchColdVsWarm(b *testing.B, kind SolverKind, n, rounds, tail int, disableWarm bool) {
+// speedup next to the serial-vs-parallel split.
+func benchColdVsWarm(b *testing.B, n, rounds, tail int, disableWarm bool) {
 	// 10-minute re-planning against a diurnal workload — the paper's §6
 	// regime: 144 ticks per day, so consecutive rounds differ by the small
 	// data deltas the warm seed exploits.
@@ -25,7 +23,7 @@ func benchColdVsWarm(b *testing.B, kind SolverKind, n, rounds, tail int, disable
 	b.ResetTimer()
 	totalIters := 0
 	for i := 0; i < b.N; i++ {
-		pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, Solver: kind, DisableWarmStart: disableWarm},
+		pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, DisableWarmStart: disableWarm},
 			cat, testPredictor(cat), ReactiveSource{Cat: cat})
 		for tick := 0; tick < rounds; tick++ {
 			dec, err := pl.Step(tick, diurnal(tick))
@@ -43,66 +41,16 @@ func benchColdVsWarm(b *testing.B, kind SolverKind, n, rounds, tail int, disable
 func BenchmarkRecedingHorizonColdVsWarm(b *testing.B) {
 	cases := []struct {
 		name string
-		kind SolverKind
 		n    int
 	}{
-		// Market counts mirror the PR 1 solver benches (50/200/500).
-		{"fista-n50", SolverFISTA, 50},
-		{"fista-n200", SolverFISTA, 200},
-		{"fista-n500", SolverFISTA, 500},
-		{"admm-n50", SolverADMM, 50},
-		{"admm-n200", SolverADMM, 200},
+		// Market counts mirror the solver benches (50/200/500).
+		{"fista-n50", 50},
+		{"fista-n200", 200},
+		{"fista-n500", 500},
 	}
 	const rounds, tail = 24, 12
 	for _, c := range cases {
-		b.Run(c.name+"/cold", func(b *testing.B) { benchColdVsWarm(b, c.kind, c.n, rounds, tail, true) })
-		b.Run(c.name+"/warm", func(b *testing.B) { benchColdVsWarm(b, c.kind, c.n, rounds, tail, false) })
-	}
-}
-
-// benchKKTSolve times one full cold MPO solve (problem build + KKT
-// factorization + ADMM to convergence) through the requested x-update
-// backend. The dense and sparse rows at the same size solve the identical
-// problem, so their ratio is the structured path's end-to-end speedup; with
-// -benchmem the allocated-bytes column shows the dense (nh)²/(nh+h)·nh
-// materialization the sparse path avoids.
-func benchKKTSolve(b *testing.B, n, h int, path KKTPath) {
-	rng := rand.New(rand.NewSource(5))
-	in := kktInputs(rng, n, h)
-	cfg := kktCfg(h, path)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := Optimize(cfg, in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.KKTPath != path.String() {
-			b.Fatalf("took path %q, want %q", p.KKTPath, path)
-		}
-	}
-}
-
-func BenchmarkKKTDenseVsSparse(b *testing.B) {
-	cases := []struct {
-		name  string
-		n, h  int
-		path  KKTPath
-		quick bool // runs even under -short
-	}{
-		{"n50-h12/dense", 50, 12, KKTDense, true},
-		{"n50-h12/sparse", 50, 12, KKTSparse, true},
-		{"n200-h12/dense", 200, 12, KKTDense, false},
-		{"n200-h12/sparse", 200, 12, KKTSparse, false},
-		// No dense twin at n=1000: the assembled KKT alone would be ~4.6 GB.
-		{"n1000-h24/sparse", 1000, 24, KKTSparse, false},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			if !c.quick && testing.Short() {
-				b.Skip("large KKT benchmark skipped in -short")
-			}
-			benchKKTSolve(b, c.n, c.h, c.path)
-		})
+		b.Run(c.name+"/cold", func(b *testing.B) { benchColdVsWarm(b, c.n, rounds, tail, true) })
+		b.Run(c.name+"/warm", func(b *testing.B) { benchColdVsWarm(b, c.n, rounds, tail, false) })
 	}
 }

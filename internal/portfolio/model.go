@@ -23,56 +23,11 @@ import (
 	"repro/internal/linalg"
 )
 
-// SolverKind selects the QP backend.
-type SolverKind int
-
-const (
-	// SolverFISTA uses the structure-exploiting projected-gradient solver
-	// (default; scales to hundreds of markets).
-	SolverFISTA SolverKind = iota
-	// SolverADMM uses the general OSQP-style solver (dense KKT factor).
-	SolverADMM
-)
-
-// KKTPath selects how the ADMM backend factors its KKT system.
-type KKTPath int
-
-const (
-	// KKTAuto picks dense for small problems and the structured sparse path
-	// once n·h crosses kktDenseMaxDim (the default).
-	KKTAuto KKTPath = iota
-	// KKTDense always assembles and factors the full dense KKT matrix.
-	KKTDense
-	// KKTSparse always uses the block-tridiagonal reduced factorization with
-	// a CSR constraint matrix; dense P and A are never materialized.
-	KKTSparse
-)
-
-// String implements fmt.Stringer (the value used for flags and metrics).
-func (k KKTPath) String() string {
-	switch k {
-	case KKTDense:
-		return "dense"
-	case KKTSparse:
-		return "sparse"
-	default:
-		return "auto"
-	}
-}
-
-// ParseKKTPath maps the flag spelling ("auto", "dense", "sparse") to a
-// KKTPath.
-func ParseKKTPath(s string) (KKTPath, error) {
-	switch s {
-	case "", "auto":
-		return KKTAuto, nil
-	case "dense":
-		return KKTDense, nil
-	case "sparse":
-		return KKTSparse, nil
-	}
-	return KKTAuto, fmt.Errorf("portfolio: unknown KKT path %q (want auto, dense or sparse)", s)
-}
+// KKTPath is an empty placeholder for the removed ADMM factorization knob.
+//
+// Deprecated: the planner has one solver (FISTA) and no KKT system; the type
+// carries no value and nothing reads it.
+type KKTPath struct{}
 
 // Config holds the optimizer parameters. Zero values take the paper's §6
 // defaults where one exists.
@@ -96,9 +51,9 @@ type Config struct {
 	// AMinOnDemand is the sentinel HA anchor floor: the minimum total
 	// allocation share that must sit on non-revocable (on-demand) markets in
 	// every period, priced by the optimizer against the on-demand premium.
-	// Zero (the default) disables the constraint entirely — the program, its
-	// KKT layout and its floating-point behaviour are then identical to the
-	// anchor-free formulation. Requires Inputs.OnDemand when positive.
+	// Zero (the default) disables the constraint entirely — the program and
+	// its floating-point behaviour are then identical to the anchor-free
+	// formulation. Requires Inputs.OnDemand when positive.
 	AMinOnDemand float64
 	// Horizon is H, the look-ahead length in intervals (H = 1 ⇒ SPO).
 	Horizon int
@@ -109,16 +64,14 @@ type Config struct {
 	// at roughly one interval of rental — the scale of the instance-hours
 	// wasted under hourly billing.
 	ChurnKappa float64
-	// Solver selects the backend.
-	Solver SolverKind
-	// MaxIter overrides the solver's iteration budget (0 keeps the backend
-	// default: 4000 for FISTA, 8000 for ADMM). Mostly a testing/benchmark
-	// knob — tiny budgets force non-converged solves deterministically.
+	// MaxIter overrides the solver's iteration budget (0 keeps the default
+	// of 4000). Mostly a testing/benchmark knob — tiny budgets force
+	// non-converged solves deterministically.
 	MaxIter int
 	// DisableWarmStart cold-starts every receding-horizon solve. The zero
 	// value keeps warm starting ON: each Planner round seeds the solver with
-	// the previous round's iterates shifted one period (plus the cached KKT
-	// factorization / Lipschitz estimate), which cuts steady-state solver
+	// the previous round's iterates shifted one period (plus the cached
+	// Lipschitz estimate), which cuts steady-state solver
 	// iterations severalfold without changing what the solver converges to
 	// (first-interval allocations agree within solver tolerance). Disable it
 	// to reproduce strictly independent per-round solves.
@@ -128,11 +81,9 @@ type Config struct {
 	// Any setting returns bit-identical plans — parallel kernels preserve the
 	// serial accumulation order — so this is purely a latency knob.
 	Parallelism int
-	// KKT selects the ADMM backend's KKT factorization path. The default
-	// (KKTAuto) keeps the dense factorization for small programs and switches
-	// to the structured block-tridiagonal path once the stacked dimension n·h
-	// reaches kktDenseMaxDim — both paths solve the identical x-update system,
-	// so plans agree within solver tolerance. Ignored by the FISTA backend.
+	// KKT is kept so existing assignments compile.
+	//
+	// Deprecated: it has no settable value and nothing reads it.
 	KKT KKTPath
 }
 
@@ -178,12 +129,11 @@ type Inputs struct {
 	PerReqCost [][]float64
 	// FailProb[τ][i] is the predicted revocation probability.
 	FailProb [][]float64
-	// Risk is the covariance matrix M of revocation dynamics (N×N). It is
-	// required by the ADMM backend; the FISTA backend prefers RiskOp when
-	// set.
+	// Risk is the covariance matrix M of revocation dynamics (N×N). RiskOp
+	// takes precedence when set.
 	Risk *linalg.Matrix
 	// RiskOp optionally supplies M as a structured operator (sparse or
-	// factor model) for the FISTA backend; Risk may then be nil.
+	// factor model); Risk may then be nil.
 	RiskOp RiskApplier
 	// RiskDim must be set to N when Risk is nil (RiskOp carries no shape).
 	RiskDim int

@@ -27,11 +27,8 @@ type Plan struct {
 	// convergence quality the monitoring subsystem exposes per solve.
 	PriRes float64
 	// WarmStarted reports whether the solve was seeded from a previous
-	// round's warm state (iterates, KKT factorization or Lipschitz cache).
+	// round's warm state (iterates or Lipschitz cache).
 	WarmStarted bool
-	// KKTPath reports which ADMM factorization served the solve: "dense" or
-	// "sparse". Empty for the FISTA backend (no KKT system).
-	KKTPath string
 	// warm is the solver state that can seed the next receding-horizon
 	// round (Planner shifts it one period before reuse).
 	warm *solver.WarmState
@@ -214,14 +211,7 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 		}
 	}
 	start := time.Now()
-	var res solver.Result
-	var kktPath string
-	switch c.Solver {
-	case SolverADMM:
-		res, kktPath = c.solveADMM(in, n, warm)
-	default:
-		res = c.solveFISTA(in, n, warm)
-	}
+	res := c.solveFISTA(in, n, warm)
 	if res.Status == solver.StatusError {
 		return nil, fmt.Errorf("portfolio: solver failed")
 	}
@@ -232,7 +222,6 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 		Status:      res.Status,
 		PriRes:      res.PriRes,
 		WarmStarted: res.WarmStarted,
-		KKTPath:     kktPath,
 		warm:        res.Warm,
 	}
 	for τ := 0; τ < c.Horizon; τ++ {
@@ -246,14 +235,6 @@ func OptimizeWarm(cfg Config, in *Inputs, warm *solver.WarmState) (*Plan, error)
 		plan.Alloc = append(plan.Alloc, alloc)
 	}
 	return plan, nil
-}
-
-// maxIter returns the configured iteration budget or the backend default.
-func (c Config) maxIter(def int) int {
-	if c.MaxIter > 0 {
-		return c.MaxIter
-	}
-	return def
 }
 
 func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) solver.Result {
@@ -272,181 +253,13 @@ func (c Config) solveFISTA(in *Inputs, n int, warm *solver.WarmState) solver.Res
 		Q: c.buildLinear(in, n, kappa),
 		C: c.feasibleSet(n, anchorIdx),
 	}
+	maxIter := c.MaxIter
+	if maxIter <= 0 {
+		maxIter = 4000
+	}
 	return solver.SolveFISTA(pp, solver.FISTASettings{
-		MaxIter: c.maxIter(4000), Tol: 1e-7, Workers: ws, Warm: warm,
+		MaxIter: maxIter, Tol: 1e-7, Workers: ws, Warm: warm,
 	})
-}
-
-// kktDenseMaxDim is the stacked dimension n·h at which KKTAuto switches the
-// ADMM backend from the dense KKT factorization to the structured sparse
-// path. Below it the dense factor is cheap and its round-off behaviour is the
-// long-standing reference; above it the block path's O(h·n³) factor and
-// O((n·h)·n) memory win decisively (the dense KKT grows O((nh+h)²) just to
-// materialize).
-const kktDenseMaxDim = 128
-
-// useSparseKKT resolves the Config.KKT selection for a problem of n markets.
-func (c Config) useSparseKKT(n int) bool {
-	switch c.KKT {
-	case KKTDense:
-		return false
-	case KKTSparse:
-		return true
-	default:
-		return n*c.Horizon >= kktDenseMaxDim
-	}
-}
-
-// buildADMMSparse assembles the MPO program in structured form: a matrix-free
-// Hessian, a CSR constraint matrix and the MPOStructure declaration that
-// routes solver.SolveADMM through the block-tridiagonal KKT factorization.
-// Nothing O((nh)²) is ever allocated — the point of the sparse path is that
-// n=1000, h=24 fits in memory where the dense KKT (~19 GB) cannot.
-func (c Config) buildADMMSparse(in *Inputs, n int, kappa float64, ws *parallel.Pool) *solver.Problem {
-	h := c.Horizon
-	dim := n * h
-	m := dim + h
-	var anchorIdx []int
-	var anchor []bool
-	if c.AMinOnDemand > 0 {
-		anchorIdx = in.anchorIdx()
-		anchor = make([]bool, n)
-		for _, i := range anchorIdx {
-			anchor[i] = true
-		}
-		m += h // one anchor-floor row per period
-	}
-	// Constraint triplets: the dim box rows (identity), then one sum row per
-	// period — 2·dim entries total — plus h sparse anchor rows when the
-	// on-demand floor is active.
-	is := make([]int, 0, 2*dim+h*len(anchorIdx))
-	js := make([]int, 0, 2*dim+h*len(anchorIdx))
-	vs := make([]float64, 0, 2*dim+h*len(anchorIdx))
-	l := linalg.NewVector(m)
-	u := linalg.NewVector(m)
-	for k := 0; k < dim; k++ {
-		is, js, vs = append(is, k), append(js, k), append(vs, 1)
-		u[k] = c.AMaxPerMarket
-	}
-	for τ := 0; τ < h; τ++ {
-		row := dim + τ
-		for i := 0; i < n; i++ {
-			is, js, vs = append(is, row), append(js, τ*n+i), append(vs, 1)
-		}
-		l[row] = c.AMin
-		u[row] = c.AMax
-	}
-	for τ := 0; τ < h && anchor != nil; τ++ {
-		row := dim + h + τ
-		for _, i := range anchorIdx {
-			is, js, vs = append(is, row), append(js, τ*n+i), append(vs, 1)
-		}
-		l[row] = c.AMinOnDemand
-		u[row] = math.Inf(1)
-	}
-	return &solver.Problem{
-		POp:     newHorizonOperator(in.Risk, c.Alpha, kappa, n, h, ws),
-		Q:       c.buildLinear(in, n, kappa),
-		ASparse: linalg.NewCSRFromTriplets(m, dim, is, js, vs),
-		L:       l,
-		U:       u,
-		Block: &solver.MPOStructure{
-			N: n, H: h,
-			Risk:      in.Risk,
-			RiskScale: 2 * c.Alpha,
-			ChurnK:    2 * kappa,
-			Anchor:    anchor,
-		},
-	}
-}
-
-func (c Config) solveADMM(in *Inputs, n int, warm *solver.WarmState) (solver.Result, string) {
-	if in.Risk == nil {
-		return solver.Result{Status: solver.StatusError}, "" // dense M required
-	}
-	kappa := c.churnWeight(in, n)
-	ws := parallel.PoolFor(c.Parallelism)
-	settings := solver.ADMMSettings{
-		MaxIter: c.maxIter(8000), EpsAbs: 1e-6, EpsRel: 1e-6, Workers: ws, Warm: warm,
-	}
-	if c.useSparseKKT(n) {
-		return solver.SolveADMM(c.buildADMMSparse(in, n, kappa, ws), settings), "sparse"
-	}
-	return solver.SolveADMM(c.buildADMMDense(in, n, kappa, ws), settings), "dense"
-}
-
-// buildADMMDense assembles the MPO program with dense P and A — the reference
-// path for small problems.
-func (c Config) buildADMMDense(in *Inputs, n int, kappa float64, ws *parallel.Pool) *solver.Problem {
-	h := c.Horizon
-	dim := n * h
-	// Dense Hessian: block-diagonal 2αM plus churn tridiagonal coupling.
-	// Periods write disjoint row blocks, so assembly splits across the pool.
-	p := linalg.NewMatrix(dim, dim)
-	ws.For(h, 1, func(plo, phi int) {
-		for τ := plo; τ < phi; τ++ {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					p.Set(τ*n+i, τ*n+j, 2*c.Alpha*in.Risk.At(i, j))
-				}
-			}
-		}
-	})
-	if kappa > 0 {
-		k2 := 2 * kappa
-		for τ := 0; τ < h; τ++ {
-			diagCount := 1.0
-			if τ+1 < h {
-				diagCount = 2.0
-			}
-			for i := 0; i < n; i++ {
-				p.Add(τ*n+i, τ*n+i, k2*diagCount)
-				if τ > 0 {
-					p.Add(τ*n+i, (τ-1)*n+i, -k2)
-					p.Add((τ-1)*n+i, τ*n+i, 0) // symmetry set below
-				}
-			}
-		}
-		// Symmetrize the off-diagonal coupling.
-		for τ := 1; τ < h; τ++ {
-			for i := 0; i < n; i++ {
-				p.Set((τ-1)*n+i, τ*n+i, p.At(τ*n+i, (τ-1)*n+i))
-			}
-		}
-	}
-	// Constraints: box rows (identity) + one sum row per period, plus one
-	// anchor-floor row per period when the on-demand floor is active.
-	m := dim + h
-	var anchorIdx []int
-	if c.AMinOnDemand > 0 {
-		anchorIdx = in.anchorIdx()
-		m += h
-	}
-	a := linalg.NewMatrix(m, dim)
-	l := linalg.NewVector(m)
-	u := linalg.NewVector(m)
-	for k := 0; k < dim; k++ {
-		a.Set(k, k, 1)
-		l[k] = 0
-		u[k] = c.AMaxPerMarket
-	}
-	for τ := 0; τ < h; τ++ {
-		row := dim + τ
-		for i := 0; i < n; i++ {
-			a.Set(row, τ*n+i, 1)
-		}
-		l[row] = c.AMin
-		u[row] = c.AMax
-	}
-	for τ := 0; τ < h && anchorIdx != nil; τ++ {
-		row := dim + h + τ
-		for _, i := range anchorIdx {
-			a.Set(row, τ*n+i, 1)
-		}
-		l[row] = c.AMinOnDemand
-		u[row] = math.Inf(1)
-	}
-	return &solver.Problem{P: p, Q: c.buildLinear(in, n, kappa), A: a, L: l, U: u}
 }
 
 // ServerCounts converts a fractional allocation into integer server counts

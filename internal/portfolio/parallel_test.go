@@ -75,30 +75,22 @@ func plansIdentical(t *testing.T, tag string, a, b *Plan) {
 
 // TestOptimizeParallelismBitIdentical is the tentpole acceptance gate:
 // over randomized MPO instances, the parallel solve must return exactly the
-// serial portfolio — same allocations, objective, and iteration count — for
-// both backends.
+// serial portfolio — same allocations, objective, and iteration count.
 func TestOptimizeParallelismBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 24; iter++ {
 		cfg, in := randMPOInstance(rng)
-		for _, kind := range []SolverKind{SolverFISTA, SolverADMM} {
-			cfg.Solver = kind
-			cfg.Parallelism = 0
-			serial, err := Optimize(cfg, in)
-			if err != nil {
-				t.Fatalf("iter %d: serial solve: %v", iter, err)
-			}
-			cfg.Parallelism = 4
-			par, err := Optimize(cfg, in)
-			if err != nil {
-				t.Fatalf("iter %d: parallel solve: %v", iter, err)
-			}
-			tag := "FISTA"
-			if kind == SolverADMM {
-				tag = "ADMM"
-			}
-			plansIdentical(t, tag, serial, par)
+		cfg.Parallelism = 0
+		serial, err := Optimize(cfg, in)
+		if err != nil {
+			t.Fatalf("iter %d: serial solve: %v", iter, err)
 		}
+		cfg.Parallelism = 4
+		par, err := Optimize(cfg, in)
+		if err != nil {
+			t.Fatalf("iter %d: parallel solve: %v", iter, err)
+		}
+		plansIdentical(t, "FISTA", serial, par)
 	}
 }
 

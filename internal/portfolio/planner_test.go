@@ -165,12 +165,12 @@ func TestPlannerWarmFallbackCounter(t *testing.T) {
 // warm-started rounds, and the planner's metrics registry. At round 10 the
 // market set is swapped (different catalog, different market count), which
 // must invalidate any warm state rather than feed wrong-shape seeds.
-func runRecedingHorizon(t *testing.T, kind SolverKind, disableWarm bool, rounds int) ([][]float64, int, *metrics.Registry) {
+func runRecedingHorizon(t *testing.T, disableWarm bool, rounds int) ([][]float64, int, *metrics.Registry) {
 	t.Helper()
 	cat1 := market.CatalogConfig{Seed: 11, NumTypes: 6, Hours: 72}.Generate()
 	cat2 := market.CatalogConfig{Seed: 12, NumTypes: 9, Hours: 72}.Generate()
 	reg := metrics.NewRegistry()
-	pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, Solver: kind, DisableWarmStart: disableWarm},
+	pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, DisableWarmStart: disableWarm},
 		cat1, testPredictor(cat1), ReactiveSource{Cat: cat1})
 	pl.Metrics = reg
 
@@ -184,7 +184,7 @@ func runRecedingHorizon(t *testing.T, kind SolverKind, disableWarm bool, rounds 
 		}
 		dec, err := pl.Step(tick, sineLoad(tick))
 		if err != nil {
-			t.Fatalf("%v warm=%v round %d: %v", kind, !disableWarm, tick, err)
+			t.Fatalf("warm=%v round %d: %v", !disableWarm, tick, err)
 		}
 		firsts = append(firsts, append([]float64(nil), dec.Plan.First()...))
 		if dec.Plan.WarmStarted {
@@ -194,23 +194,20 @@ func runRecedingHorizon(t *testing.T, kind SolverKind, disableWarm bool, rounds 
 	return firsts, warmRounds, reg
 }
 
-// Warm-vs-cold equivalence over 20 receding-horizon rounds, both backends:
-// the executed (first-interval) allocations must match within solver
+// Warm-vs-cold equivalence over 20 receding-horizon rounds: the executed (first-interval) allocations must match within solver
 // tolerance every round, including across a mid-run market-set change that
 // forces warm-state invalidation.
 func TestPlannerWarmColdFirstIntervalEquivalence(t *testing.T) {
 	const rounds = 20
 	for _, tc := range []struct {
 		name string
-		kind SolverKind
 		tol  float64
 	}{
-		{"FISTA", SolverFISTA, 1e-3},
-		{"ADMM", SolverADMM, 2e-3},
+		{"FISTA", 1e-3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			coldF, coldWarmRounds, _ := runRecedingHorizon(t, tc.kind, true, rounds)
-			warmF, warmRounds, reg := runRecedingHorizon(t, tc.kind, false, rounds)
+			coldF, coldWarmRounds, _ := runRecedingHorizon(t, true, rounds)
+			warmF, warmRounds, reg := runRecedingHorizon(t, false, rounds)
 			if coldWarmRounds != 0 {
 				t.Fatalf("DisableWarmStart planner reported %d warm rounds", coldWarmRounds)
 			}
@@ -231,7 +228,7 @@ func TestPlannerWarmColdFirstIntervalEquivalence(t *testing.T) {
 				}
 			}
 			inval := reg.Counter("spotweb_planner_warm_invalidations_total",
-				"Warm-start states dropped because the market set, horizon or solver changed.")
+				"Warm-start states dropped because the market set, horizon or anchor bound changed.")
 			if inval.Value() < 1 {
 				t.Fatal("market-set change did not tick the warm invalidation counter")
 			}
@@ -253,7 +250,7 @@ func TestPlannerWarmReducesIterations(t *testing.T) {
 	// by small data deltas, which is what the warm seed exploits.
 	cat := market.CatalogConfig{Seed: 21, NumTypes: 32, Hours: 48, SamplesPerHour: 6}.Generate()
 	run := func(disableWarm bool) int {
-		pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, Solver: SolverADMM, DisableWarmStart: disableWarm},
+		pl := NewPlanner(Config{Horizon: 4, ChurnKappa: 0.5, DisableWarmStart: disableWarm},
 			cat, testPredictor(cat), ReactiveSource{Cat: cat})
 		total := 0
 		for tick := 0; tick < 24; tick++ {

@@ -126,9 +126,4 @@ func TestRiskOpValidation(t *testing.T) {
 	if _, err := Optimize(Config{Horizon: 1}, in); err != nil {
 		t.Fatalf("RiskOp-only solve failed: %v", err)
 	}
-	// ADMM requires the dense matrix.
-	cfg := Config{Horizon: 1, Solver: SolverADMM}
-	if _, err := Optimize(cfg, in); err == nil {
-		t.Fatal("ADMM without dense Risk should fail")
-	}
 }

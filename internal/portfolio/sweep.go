@@ -5,7 +5,7 @@ import (
 )
 
 // Candidate is one what-if branch for the planner to evaluate: a full config
-// (risk aversion, horizon, churn weight, backend…) against a full input set.
+// (risk aversion, horizon, churn weight…) against a full input set.
 // Candidates are independent QPs, so a sweep parallelizes across them.
 type Candidate struct {
 	Name string

@@ -40,10 +40,6 @@ type RunConfig struct {
 	// reproduces strictly independent per-round solves at a severalfold
 	// iteration cost (see DESIGN.md §9).
 	ColdStart bool `json:"cold_start,omitempty"`
-	// KKT selects the ADMM x-update backend (portfolio.KKTAuto by default:
-	// dense assembled KKT below n·h = 128, structure-exploiting block
-	// factorization at or above it; see DESIGN.md §10).
-	KKT portfolio.KKTPath `json:"kkt,omitempty"`
 	// Risk attaches the online revocation-risk estimator (internal/risk) to
 	// every SpotWeb policy a run uses: the simulator feeds it ground truth
 	// and the planner consults its confidence-widened overlay instead of
@@ -92,15 +88,12 @@ func (o RunConfig) RunSeed() int64 {
 	return o.Seed
 }
 
-// Flags holds the parsed destinations of the shared flag set. KKT arrives as
-// its flag spelling and is validated in Config, so a typo fails at startup
-// rather than silently selecting the auto path. -warm-start is spelled
-// positively on the command line but RunConfig stores its inverse (the zero
-// value must mean "paper behaviour", i.e. warm starts on), so the boolean is
-// flipped in Config.
+// Flags holds the parsed destinations of the shared flag set. -warm-start is
+// spelled positively on the command line but RunConfig stores its inverse
+// (the zero value must mean "paper behaviour", i.e. warm starts on), so the
+// boolean is flipped in Config.
 type Flags struct {
 	rc        RunConfig
-	kkt       string
 	warmStart bool
 }
 
@@ -126,7 +119,6 @@ func bindCommon(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.rc.Parallelism, "parallelism", 0, "optimizer worker bound: 0/1 serial, n>1 up to n workers, <0 all cores")
 	fs.Float64Var(&f.rc.HighUtil, "high-util", 0.85, "utilization threshold of the §6.1 revocation decision")
 	fs.BoolVar(&f.warmStart, "warm-start", true, "warm-start receding-horizon solves from the previous round's shifted solver state")
-	fs.StringVar(&f.kkt, "kkt", "auto", "ADMM KKT backend: auto (size-based), dense, or sparse (structure-exploiting)")
 	fs.Float64Var(&f.rc.AnchorMin, "anchor-min", 0, "minimum per-period on-demand (non-revocable) allocation share (0 = off; inert on all-spot catalogs)")
 	fs.BoolVar(&f.rc.Sentinel, "sentinel", false, "enable the sentinel loop: stopped on-demand standbys warm-restart after revocations")
 	fs.BoolVar(&f.rc.Risk, "risk", false, "estimate per-market revocation risk online from observed revocations and plan against the corrected probabilities")
@@ -135,14 +127,9 @@ func bindCommon(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Config validates and returns the parsed RunConfig.
-func (f *Flags) Config() (RunConfig, error) {
-	kkt, err := portfolio.ParseKKTPath(f.kkt)
-	if err != nil {
-		return RunConfig{}, err
-	}
+// Config returns the parsed RunConfig.
+func (f *Flags) Config() RunConfig {
 	rc := f.rc
-	rc.KKT = kkt
 	rc.ColdStart = !f.warmStart
-	return rc, nil
+	return rc
 }

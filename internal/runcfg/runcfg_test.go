@@ -3,6 +3,7 @@ package runcfg
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"testing"
 
 	"repro/internal/market"
@@ -15,10 +16,7 @@ func TestBindFlagsDefaultsArePaperConfig(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := f.Config()
 	want := RunConfig{Seed: 42, HighUtil: 0.85, WarningSec: 120}
 	if rc != want {
 		t.Fatalf("defaults = %+v, want %+v", rc, want)
@@ -30,20 +28,17 @@ func TestBindFlagsParsesOverrides(t *testing.T) {
 	f := BindFlags(fs)
 	args := []string{
 		"-quick", "-seed", "7", "-parallelism", "4", "-high-util", "0.7",
-		"-warning", "30", "-warm-start=false", "-kkt", "sparse",
+		"-warning", "30", "-warm-start=false",
 		"-risk", "-risk-quantile", "0.95", "-risk-halflife", "12",
 		"-anchor-min", "0.3", "-sentinel",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := f.Config()
 	want := RunConfig{
 		Quick: true, Seed: 7, Parallelism: 4, HighUtil: 0.7, WarningSec: 30,
-		ColdStart: true, KKT: portfolio.KKTSparse, Risk: true,
+		ColdStart: true, Risk: true,
 		RiskQuantile: 0.95, RiskHalfLife: 12, AnchorMin: 0.3, Sentinel: true,
 	}
 	if rc != want {
@@ -51,14 +46,18 @@ func TestBindFlagsParsesOverrides(t *testing.T) {
 	}
 }
 
+// The planner has no KKT system any more, so -kkt is an unknown flag on
+// every binary that binds the shared set.
 func TestConfigRejectsBadKKT(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := BindFlags(fs)
-	if err := fs.Parse([]string{"-kkt", "frobnicate"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Config(); err == nil {
-		t.Fatal("want error for unknown -kkt value")
+	for name, bind := range map[string]func(*flag.FlagSet) *Flags{
+		"full": BindFlags, "daemon": BindDaemonFlags,
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		bind(fs)
+		if err := fs.Parse([]string{"-kkt", "sparse"}); err == nil {
+			t.Errorf("%s flag set accepted -kkt", name)
+		}
 	}
 }
 
@@ -70,7 +69,7 @@ func TestDaemonFlagsOmitRunShapeKnobs(t *testing.T) {
 			t.Errorf("daemon flag set must not define -%s", name)
 		}
 	}
-	for _, name := range []string{"seed", "high-util", "kkt", "sentinel", "risk"} {
+	for _, name := range []string{"seed", "high-util", "sentinel", "risk"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("daemon flag set missing -%s", name)
 		}

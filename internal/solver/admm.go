@@ -1,47 +1,27 @@
 package solver
 
 import (
-	"errors"
 	"math"
 
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
-// ADMMSettings tunes the OSQP-style solver. Zero values select defaults.
+// ADMMSettings bounds the reference solver. Zero values select defaults.
 type ADMMSettings struct {
-	Rho     float64 // step-size / penalty parameter (default 0.1)
-	Sigma   float64 // primal regularization (default 1e-6)
-	Alpha   float64 // over-relaxation in (0, 2) (default 1.6)
 	MaxIter int     // iteration budget (default 4000)
 	EpsAbs  float64 // absolute tolerance (default 1e-6)
 	EpsRel  float64 // relative tolerance (default 1e-6)
-	// Workers, when non-nil, runs the KKT assembly and the per-block x/z/y
-	// updates concurrently; results are bit-identical to the serial path.
-	// The KKT factorization itself parallelizes through linalg.SetPool.
-	Workers *parallel.Pool
-	// Warm, when non-nil, seeds the solve from a previous Result.Warm: the
-	// x/z/y iterates start from the stored (optionally horizon-shifted)
-	// values, and the cached KKT factorization is reused when its
-	// fingerprint matches this problem's (P, A, σ, ρ) exactly. Warm state
-	// never changes what the solver converges to — only how fast — and is
-	// consumed: do not share one WarmState across concurrent solves.
-	Warm *WarmState
 }
 
-// admmGrain is the chunk size for the element-wise update kernels.
-const admmGrain = 2048
+// The splitting parameters are fixed: step size ρ, primal regularization σ
+// and over-relaxation α.
+const (
+	admmRho   = 0.1
+	admmSigma = 1e-6
+	admmAlpha = 1.6
+)
 
 func (s ADMMSettings) withDefaults() ADMMSettings {
-	if s.Rho <= 0 {
-		s.Rho = 0.1
-	}
-	if s.Sigma <= 0 {
-		s.Sigma = 1e-6
-	}
-	if s.Alpha <= 0 || s.Alpha >= 2 {
-		s.Alpha = 1.6
-	}
 	if s.MaxIter <= 0 {
 		s.MaxIter = 4000
 	}
@@ -54,223 +34,6 @@ func (s ADMMSettings) withDefaults() ADMMSettings {
 	return s
 }
 
-// kktFactor is a cached factorization-backed engine for the ADMM x-update,
-// valid for a fixed (P, A, σ, ρ). bind prepares it for one solve (capturing
-// the problem's linear term and the live iterate vectors) and returns the
-// per-iteration step together with the stable x̃/ν slices the step refreshes
-// on every call. Binding may allocate; the returned step must not — it runs
-// once per ADMM iteration. A factor is stored in WarmState and reused across
-// sequential solves whose fingerprint matches, but must never serve two
-// solves concurrently (it owns scratch).
-type kktFactor interface {
-	bind(p *Problem, sigma, rho float64, ws *parallel.Pool, x, z, y linalg.Vector) (step func(), xt, nu linalg.Vector)
-}
-
-// fullKKT solves the unreduced quasi-definite system
-//
-//	[P+σI  Aᵀ ] [x̃]   [σx − q ]
-//	[A    −I/ρ] [ν] = [z − y/ρ]
-//
-// with a dense LDLᵀ — the path for dense problems, bit-identical to the
-// pre-structured solver.
-type fullKKT struct {
-	fact     *linalg.LDLFactor
-	rhs, sol linalg.Vector // n+m scratch
-}
-
-func (k *fullKKT) bind(p *Problem, sigma, rho float64, ws *parallel.Pool, x, z, y linalg.Vector) (func(), linalg.Vector, linalg.Vector) {
-	n, m := p.N(), p.M()
-	q := p.Q
-	// The chunk bodies are hoisted here so the steady-state iteration loop
-	// passes pre-built closures to the pool instead of minting (and heap-
-	// allocating) new ones every iteration.
-	top := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k.rhs[i] = sigma*x[i] - q[i]
-		}
-	}
-	bot := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k.rhs[n+i] = z[i] - y[i]/rho
-		}
-	}
-	step := func() {
-		ws.For(n, admmGrain, top)
-		ws.For(m, admmGrain, bot)
-		k.fact.Solve(k.rhs, k.sol)
-	}
-	return step, k.sol[:n], k.sol[n:]
-}
-
-// kktSolve is the factorization interface shared by the reduced-system
-// backends (block-tridiagonal or dense Cholesky of K = P + σI + ρAᵀA).
-type kktSolve interface {
-	Solve(b, dst linalg.Vector) linalg.Vector
-}
-
-// reducedKKT eliminates the constraint block from the quasi-definite system:
-// from the second KKT row, ν = ρ(Ax̃ − z) + y; substituting into the first
-// gives the positive definite reduced system
-//
-//	(P + σI + ρAᵀA)·x̃ = σx − q + Aᵀ(ρz − y).
-//
-// All matvecs go through the problem's sparse A, so one iteration costs a
-// reduced solve plus O(nnz) — never a dense m×n product.
-type reducedKKT struct {
-	fact kktSolve
-	rhs  linalg.Vector // n
-	xt   linalg.Vector // n
-	nu   linalg.Vector // m
-	t    linalg.Vector // m scratch for ρz − y
-}
-
-func newReducedKKT(f kktSolve, n, m int) *reducedKKT {
-	return &reducedKKT{
-		fact: f,
-		rhs:  linalg.NewVector(n),
-		xt:   linalg.NewVector(n),
-		nu:   linalg.NewVector(m),
-		t:    linalg.NewVector(m),
-	}
-}
-
-func (k *reducedKKT) bind(p *Problem, sigma, rho float64, _ *parallel.Pool, x, z, y linalg.Vector) (func(), linalg.Vector, linalg.Vector) {
-	q := p.Q
-	step := func() {
-		for i := range k.t {
-			k.t[i] = rho*z[i] - y[i]
-		}
-		p.mulAT(k.t, k.rhs)
-		for i := range k.rhs {
-			k.rhs[i] += sigma*x[i] - q[i]
-		}
-		k.fact.Solve(k.rhs, k.xt)
-		p.mulA(k.xt, k.nu)
-		for i := range k.nu {
-			k.nu[i] = rho*(k.nu[i]-z[i]) + y[i]
-		}
-	}
-	return step, k.xt, k.nu
-}
-
-// factorKKT builds the KKT engine matching the problem's representation:
-// block-tridiagonal for declared MPO structure, reduced dense Cholesky for a
-// sparse A without structure, dense LDLᵀ of the full system otherwise.
-func factorKKT(p *Problem, sigma, rho float64, ws *parallel.Pool) (kktFactor, error) {
-	if p.Block != nil {
-		return factorBlockKKT(p, sigma, rho)
-	}
-	if p.P == nil {
-		return nil, errors.New("solver: matrix-free Hessian requires Block structure")
-	}
-	if p.ASparse != nil {
-		return factorReducedKKT(p, sigma, rho)
-	}
-	return factorFullKKT(p, sigma, rho, ws)
-}
-
-// factorBlockKKT assembles and factors the reduced MPO system block-
-// tridiagonally. With A = [I; per-period sum rows], AᵀA = I + blockdiag(1·1ᵀ),
-// so the reduced matrix has diagonal blocks
-//
-//	D_τ = RiskScale·Risk + (σ + ρ + ChurnK·dc(τ))·I + ρ·1·1ᵀ
-//
-// and constant off-diagonal blocks −ChurnK·I. A declared anchor tier adds one
-// more aggregate row per period (the Σ over on-demand coordinates), whose
-// AᵀA contribution is a second rank-one term ρ·s·sᵀ with s the anchor
-// indicator. Factoring costs O(H·N³) and peak memory O(H·N²) — the full dense
-// KKT is never materialized.
-func factorBlockKKT(p *Problem, sigma, rho float64) (kktFactor, error) {
-	b := p.Block
-	n, h := b.N, b.H
-	diag := make([]*linalg.Matrix, h)
-	for tau := 0; tau < h; tau++ {
-		d := linalg.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			row := d.Data[i*n : (i+1)*n]
-			risk := b.Risk.Data[i*n : (i+1)*n]
-			for j := range row {
-				row[j] = b.RiskScale*risk[j] + rho
-			}
-			if b.Anchor != nil && b.Anchor[i] {
-				for j := range row {
-					if b.Anchor[j] {
-						row[j] += rho
-					}
-				}
-			}
-		}
-		dc := 2.0
-		if tau+1 == h {
-			dc = 1
-		}
-		d.AddDiag(sigma + rho + b.ChurnK*dc)
-		diag[tau] = d
-	}
-	f, err := linalg.FactorBlockTriDiag(diag, -b.ChurnK)
-	if err != nil {
-		return nil, err
-	}
-	return newReducedKKT(f, p.N(), p.M()), nil
-}
-
-// factorReducedKKT is the general sparse-aware fallback: a dense P with a
-// sparse A but no declared block structure. It assembles K = P + σI + ρAᵀA
-// densely (n×n, not (n+m)²) with the AᵀA term accumulated row-by-row from
-// the CSR, and factors it with a Cholesky — K ⪰ σI is positive definite.
-func factorReducedKKT(p *Problem, sigma, rho float64) (kktFactor, error) {
-	n := p.N()
-	km := p.P.Clone()
-	km.AddDiag(sigma)
-	a := p.ASparse
-	for i := 0; i < a.Rows; i++ {
-		for ki := a.RowPtr[i]; ki < a.RowPtr[i+1]; ki++ {
-			vi := rho * a.Val[ki]
-			row := km.Data[a.ColIdx[ki]*n : (a.ColIdx[ki]+1)*n]
-			for kj := a.RowPtr[i]; kj < a.RowPtr[i+1]; kj++ {
-				row[a.ColIdx[kj]] += vi * a.Val[kj]
-			}
-		}
-	}
-	f, err := linalg.Cholesky(km)
-	if err != nil {
-		return nil, err
-	}
-	return newReducedKKT(f, n, p.M()), nil
-}
-
-// factorFullKKT assembles and factors the dense quasi-definite KKT matrix.
-func factorFullKKT(p *Problem, sigma, rho float64, ws *parallel.Pool) (kktFactor, error) {
-	n, m := p.N(), p.M()
-	// Each chunk fills its own rows of the upper-left block and its own
-	// (row, mirrored-column) pairs of the constraint blocks, so writes never
-	// overlap.
-	kkt := linalg.NewMatrix(n+m, n+m)
-	ws.For(n, admmGrain/8+1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				kkt.Set(i, j, p.P.At(i, j))
-			}
-			kkt.Add(i, i, sigma)
-		}
-	})
-	ws.For(m, admmGrain/8+1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				aij := p.A.At(i, j)
-				kkt.Set(n+i, j, aij)
-				kkt.Set(j, n+i, aij)
-			}
-			kkt.Set(n+i, n+i, -1/rho)
-		}
-	})
-	fact, err := linalg.LDL(kkt, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &fullKKT{fact: fact, rhs: linalg.NewVector(n + m), sol: linalg.NewVector(n + m)}, nil
-}
-
 // SolveADMM solves the QP with the OSQP splitting
 //
 //	x-update: solve the quasi-definite KKT system
@@ -279,83 +42,64 @@ func factorFullKKT(p *Problem, sigma, rho float64, ws *parallel.Pool) (kktFactor
 //	z-update: clip onto [l, u]
 //	y-update: scaled dual ascent,
 //
-// with over-relaxation α. The KKT system is factored once and reused every
-// iteration, which is what the paper's "subsecond to 5 s" optimizer latency
-// relies on. Problems declaring MPO block structure route the x-update
-// through a block-tridiagonal factorization of the reduced system instead of
-// a dense LDLᵀ of the full one — same iterates within floating-point
-// reassociation, a factor ~h² less work.
+// with over-relaxation α. The KKT matrix is assembled densely and factored
+// once with an LDLᵀ, so the solver costs O((n+m)³) up front and O((n+m)²)
+// per iteration: fine for the small programs tests hand it, and independent
+// of FISTA's projection machinery, which is what makes it a useful reference.
 func SolveADMM(p *Problem, settings ADMMSettings) Result {
 	if err := p.Validate(); err != nil {
 		return Result{Status: StatusError}
 	}
 	s := settings.withDefaults()
-	ws := s.Workers
-	if ws == nil {
-		ws = parallel.Serial
-	}
 	n, m := p.N(), p.M()
 
-	// Fingerprint the KKT data. A warm state carrying a factorization of the
-	// numerically identical (P, A, σ, ρ) skips assembly + factorization
-	// entirely — the dominant setup cost of repeated solves with fixed
-	// matrices.
-	sig := problemSig(p, s.Sigma, s.Rho)
-	warmStarted := false
-	var fact kktFactor
-	if s.Warm != nil && s.Warm.fact != nil && s.Warm.factSig == sig {
-		fact = s.Warm.fact
-		warmStarted = true
-	} else {
-		var err error
-		fact, err = factorKKT(p, s.Sigma, s.Rho, ws)
-		if err != nil {
-			return Result{Status: StatusError}
+	kkt := linalg.NewMatrix(n+m, n+m)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			kkt.Set(i, j, p.P.At(i, j))
 		}
+		kkt.Add(i, i, admmSigma)
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			aij := p.A.At(i, j)
+			kkt.Set(n+i, j, aij)
+			kkt.Set(j, n+i, aij)
+		}
+		kkt.Set(n+i, n+i, -1/admmRho)
+	}
+	fact, err := linalg.LDL(kkt, 0)
+	if err != nil {
+		return Result{Status: StatusError}
 	}
 
 	x := linalg.NewVector(n)
 	z := linalg.NewVector(m)
 	y := linalg.NewVector(m)
-	if s.Warm != nil && len(s.Warm.x) == n {
-		copy(x, s.Warm.x)
-		warmStarted = true
-		if len(s.Warm.z) == m && len(s.Warm.y) == m {
-			copy(z, s.Warm.z)
-			copy(y, s.Warm.y)
-		} else {
-			// Seed the slack consistently with the warm primal.
-			p.mulA(x, z)
-			for i := range z {
-				if z[i] < p.L[i] {
-					z[i] = p.L[i]
-				} else if z[i] > p.U[i] {
-					z[i] = p.U[i]
-				}
-			}
-		}
-	}
+	rhs := linalg.NewVector(n + m)
+	sol := linalg.NewVector(n + m)
+	xTilde, nu := sol[:n], sol[n:]
 	ax := linalg.NewVector(m)
 	aty := linalg.NewVector(n)
 	px := linalg.NewVector(n)
 
-	step, xTilde, nu := fact.bind(p, s.Sigma, s.Rho, ws, x, z, y)
-
-	// Relaxation/projection bodies, hoisted out of the loop for the same
-	// 0-alloc reason as the factor's: x ← αx̃ + (1−α)x, then the per-row
-	// z̃/z/y update. Chunks are element-wise over disjoint ranges, so the
-	// pooled path reproduces the serial iterates bit-for-bit.
-	relaxX := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] = s.Alpha*xTilde[i] + (1-s.Alpha)*x[i]
+	res := Result{Status: StatusMaxIterations}
+	for iter := 1; iter <= s.MaxIter; iter++ {
+		for i := 0; i < n; i++ {
+			rhs[i] = admmSigma*x[i] - p.Q[i]
 		}
-	}
-	updateZY := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			zTilde := z[i] + (nu[i]-y[i])/s.Rho
-			zRelax := s.Alpha*zTilde + (1-s.Alpha)*z[i]
+		for i := 0; i < m; i++ {
+			rhs[n+i] = z[i] - y[i]/admmRho
+		}
+		fact.Solve(rhs, sol)
+		for i := 0; i < n; i++ {
+			x[i] = admmAlpha*xTilde[i] + (1-admmAlpha)*x[i]
+		}
+		for i := 0; i < m; i++ {
+			zTilde := z[i] + (nu[i]-y[i])/admmRho
+			zRelax := admmAlpha*zTilde + (1-admmAlpha)*z[i]
 			// z-update: project zRelax + y/ρ onto [l, u].
-			v := zRelax + y[i]/s.Rho
+			v := zRelax + y[i]/admmRho
 			if v < p.L[i] {
 				v = p.L[i]
 			} else if v > p.U[i] {
@@ -363,23 +107,16 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 			}
 			z[i] = v
 			// y-update.
-			y[i] += s.Rho * (zRelax - z[i])
+			y[i] += admmRho * (zRelax - z[i])
 		}
-	}
-
-	res := Result{Status: StatusMaxIterations}
-	for iter := 1; iter <= s.MaxIter; iter++ {
-		step()
-		ws.For(n, admmGrain, relaxX)
-		ws.For(m, admmGrain, updateZY)
 
 		// Check residuals every few iterations to amortize the matvecs.
 		if iter%10 != 0 && iter != s.MaxIter {
 			continue
 		}
-		p.mulA(x, ax)
-		p.mulAT(y, aty)
-		p.applyP(x, px)
+		p.A.MulVec(x, ax)
+		p.A.MulVecT(y, aty)
+		p.P.MulVec(x, px)
 		var priRes, duaRes float64
 		for i := 0; i < m; i++ {
 			if d := math.Abs(ax[i] - z[i]); d > priRes {
@@ -402,12 +139,5 @@ func SolveADMM(p *Problem, settings ADMMSettings) Result {
 	res.X = x
 	res.Y = y
 	res.Objective = p.Objective(x)
-	res.WarmStarted = warmStarted
-	// Snapshot the warm state for the next solve. The iterates are cloned so
-	// later mutation of Result.X (or of a retained WarmState) cannot alias.
-	res.Warm = &WarmState{
-		x: x.Clone(), z: z.Clone(), y: y.Clone(),
-		fact: fact, factSig: sig,
-	}
 	return res
 }

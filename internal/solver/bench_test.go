@@ -38,15 +38,6 @@ func BenchmarkSolveFISTA(b *testing.B) {
 	}
 }
 
-func BenchmarkSolveADMM(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	gen, _ := portfolioLikeQP(rng, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SolveADMM(gen, ADMMSettings{MaxIter: 4000})
-	}
-}
-
 // benchPools reports the serial baseline and a shared-pool variant so the
 // nightly benchmark artifact records the parallel speedup directly.
 func benchPools(b *testing.B, run func(b *testing.B, pool *parallel.Pool)) {
@@ -67,20 +58,6 @@ func BenchmarkSolveFISTASerialVsParallel(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					SolveFISTA(proj, FISTASettings{MaxIter: 500, Tol: 1e-8, Workers: pool})
-				}
-			})
-		})
-	}
-}
-
-func BenchmarkSolveADMMSerialVsParallel(b *testing.B) {
-	for _, n := range []int{50, 200, 500} {
-		b.Run("n"+strconv.Itoa(n), func(b *testing.B) {
-			benchPools(b, func(b *testing.B, pool *parallel.Pool) {
-				gen, _ := portfolioLikeQP(rand.New(rand.NewSource(8)), n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					SolveADMM(gen, ADMMSettings{MaxIter: 2000, Workers: pool})
 				}
 			})
 		})

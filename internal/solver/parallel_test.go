@@ -85,17 +85,17 @@ func TestSolveFISTAParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// The reference ADMM's LDLᵀ factorization runs through the linalg pool when
+// one is set; the solve must stay bit-identical to the serial one.
 func TestSolveADMMParallelMatchesSerial(t *testing.T) {
 	pool := newTestPool(t, 4)
-	// Also route the dense KKT factorization through the pool.
-	linalg.SetPool(pool)
 	t.Cleanup(func() { linalg.SetPool(nil) })
 	for seed := int64(0); seed < 5; seed++ {
 		gen, _ := portfolioLikeQP(rand.New(rand.NewSource(seed)), 40)
 		linalg.SetPool(nil)
 		serial := SolveADMM(gen, ADMMSettings{})
 		linalg.SetPool(pool)
-		par := SolveADMM(gen, ADMMSettings{Workers: pool})
+		par := SolveADMM(gen, ADMMSettings{})
 		if serial.Status != par.Status || serial.Iterations != par.Iterations {
 			t.Fatalf("seed %d: status/iterations diverge", seed)
 		}
@@ -107,9 +107,10 @@ func TestSolveADMMParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentSolvesSharedPool races many simultaneous FISTA and ADMM
-// solves against one shared pool — the -race gate for the whole parallel
-// solver stack (pool, linalg kernels, solver kernels).
+// TestConcurrentSolvesSharedPool races many simultaneous FISTA solves on one
+// shared pool, plus reference ADMM solves whose LDLᵀ factorizations share
+// the linalg pool — the -race gate for the whole parallel solver stack
+// (pool, linalg kernels, solver kernels).
 func TestConcurrentSolvesSharedPool(t *testing.T) {
 	pool := newTestPool(t, 4)
 	linalg.SetPool(pool)
@@ -136,7 +137,7 @@ func TestConcurrentSolvesSharedPool(t *testing.T) {
 			seed := int64(100 + c)
 			f := SolveFISTA(multiPeriodQP(rand.New(rand.NewSource(seed)), 20, 4), FISTASettings{Workers: pool})
 			gen, _ := portfolioLikeQP(rand.New(rand.NewSource(seed)), 24)
-			a := SolveADMM(gen, ADMMSettings{Workers: pool})
+			a := SolveADMM(gen, ADMMSettings{})
 			for i := range f.X {
 				if f.X[i] != wants[c].fista[i] {
 					t.Errorf("caller %d: concurrent FISTA diverged at %d", c, i)

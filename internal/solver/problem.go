@@ -1,16 +1,16 @@
 // Package solver implements the convex quadratic-programming substrate that
-// replaces the paper's CVXPY + SCS stack. Two solvers are provided:
+// replaces the paper's CVXPY + SCS stack.
 //
-//   - ADMM: an OSQP-style operator-splitting solver for general QPs of the
-//     form  minimize ½xᵀPx + qᵀx  subject to  l ≤ Ax ≤ u,  built on a dense
-//     LDLᵀ factorization of the quasi-definite KKT system.
-//   - FISTA: an accelerated projected-gradient solver for QPs whose feasible
-//     set admits a fast exact projection. The SpotWeb portfolio program is a
-//     product of per-period "box ∩ budget-band" sets, whose projection is
-//     computed by bisection in O(n log 1/ε) per period, which is what makes
-//     the optimizer scale to hundreds of markets (paper Fig. 7(b)).
+// SolveFISTA is the solver every planner path runs: an accelerated
+// projected-gradient method for QPs whose feasible set admits a fast exact
+// projection. The SpotWeb portfolio program is a product of per-period
+// "box ∩ budget-band" sets, whose projection is computed by bisection in
+// O(n log 1/ε) per period, which is what makes the optimizer scale to
+// hundreds of markets (paper Fig. 7(b)).
 //
-// Both solvers accept the same Problem and are cross-checked in tests.
+// SolveADMM is a small dense OSQP-style solver for the general form
+// minimize ½xᵀPx + qᵀx subject to l ≤ Ax ≤ u. No planner path runs it: it is
+// the independent reference that tests cross-check FISTA against.
 package solver
 
 import (
@@ -46,79 +46,32 @@ func (s Status) String() string {
 	}
 }
 
-// Problem is the QP  minimize ½xᵀPx + qᵀx  subject to  l ≤ Ax ≤ u.
-// P must be symmetric positive semidefinite. Equality constraints are
-// expressed with l[i] == u[i]; one-sided constraints with ±Inf bounds.
-//
-// Both the Hessian and the constraint matrix can be carried dense or
-// structured: exactly one of P/POp and exactly one of A/ASparse must be set.
-// The structured forms keep the horizon-stacked MPO program — block-diagonal
-// risk, tridiagonal churn coupling, identity-plus-sum-rows constraints —
-// from ever materializing O((nh)²) dense matrices.
+// Problem is the QP  minimize ½xᵀPx + qᵀx  subject to  l ≤ Ax ≤ u, with
+// dense P and A. P must be symmetric positive semidefinite. Equality
+// constraints are expressed with l[i] == u[i]; one-sided constraints with
+// ±Inf bounds.
 type Problem struct {
-	P *linalg.Matrix // n×n, symmetric PSD; nil when POp carries the Hessian
-	// POp optionally carries the Hessian as a matrix-free operator. It must
-	// represent the same symmetric PSD P.
-	POp QuadOperator
-	Q   linalg.Vector  // n
-	A   *linalg.Matrix // m×n; nil when ASparse carries the constraints
-	// ASparse optionally carries A in compressed-sparse-row form; the
-	// solver's Ax / Aᵀy matvecs then cost O(nnz) instead of O(mn).
-	ASparse *linalg.CSR
-	L       linalg.Vector // m, may contain -Inf
-	U       linalg.Vector // m, may contain +Inf
-	// Block, when non-nil, declares that (P, A) have the MPO horizon-block
-	// structure and unlocks SolveADMM's block-tridiagonal KKT path.
-	Block *MPOStructure
-}
-
-// MPOStructure declares the horizon-block structure of an MPO QP: the
-// decision vector stacks H period blocks of N variables; the Hessian is
-// block-tridiagonal with diagonal blocks RiskScale·Risk + ChurnK·dc(τ)·I
-// (dc(τ) = 2 on every period that has a successor, 1 on the terminal one)
-// and constant off-diagonal blocks −ChurnK·I; the constraint matrix stacks
-// the N·H identity (per-variable box rows) over H per-period sum rows.
-//
-// SolveADMM uses the declaration to eliminate the box rows from the
-// quasi-definite KKT system and factor the reduced matrix
-//
-//	K = P + σI + ρAᵀA = P + (σ+ρ)I + ρ·blockdiag(1·1ᵀ)
-//
-// block-tridiagonally: O(H·N³) factor and O(H·N²) per-iteration solve
-// instead of the dense O((NH+H)³) / O((NH+H)²).
-type MPOStructure struct {
-	N, H int
-	// Risk is the per-period risk matrix M (N×N dense, symmetric PSD).
-	Risk *linalg.Matrix
-	// RiskScale multiplies Risk inside each diagonal Hessian block (2α).
-	RiskScale float64
-	// ChurnK is twice the churn weight (2κ); zero decouples the periods.
-	ChurnK float64
-	// Anchor, when non-nil (length N), declares one extra aggregate row per
-	// period summing the marked coordinates — the non-revocable anchor-tier
-	// floor. The constraint matrix then stacks N·H box rows, H sum rows and
-	// H anchor rows, and the reduced KKT diagonal blocks gain a second
-	// rank-one term ρ·s·sᵀ with s the anchor indicator.
-	Anchor []bool
+	P *linalg.Matrix // n×n, symmetric PSD
+	Q linalg.Vector  // n
+	A *linalg.Matrix // m×n
+	L linalg.Vector  // m, may contain -Inf
+	U linalg.Vector  // m, may contain +Inf
 }
 
 // Validate checks dimensional consistency and bound sanity.
 func (p *Problem) Validate() error {
-	if p.P == nil && p.POp == nil {
+	if p.P == nil {
 		return errors.New("solver: nil P")
 	}
-	if p.A == nil && p.ASparse == nil {
+	if p.A == nil {
 		return errors.New("solver: nil A")
 	}
 	n := len(p.Q)
-	if p.P != nil && (p.P.Rows != n || p.P.Cols != n) {
+	if p.P.Rows != n || p.P.Cols != n {
 		return fmt.Errorf("solver: P is %dx%d, want %dx%d", p.P.Rows, p.P.Cols, n, n)
 	}
-	if p.P == nil && p.POp.Dim() != n {
-		return fmt.Errorf("solver: P operator has dim %d, want %d", p.POp.Dim(), n)
-	}
-	if cols := p.aCols(); cols != n {
-		return fmt.Errorf("solver: A has %d cols, want %d", cols, n)
+	if p.A.Cols != n {
+		return fmt.Errorf("solver: A has %d cols, want %d", p.A.Cols, n)
 	}
 	m := p.M()
 	if len(p.L) != m || len(p.U) != m {
@@ -132,27 +85,6 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("solver: NaN bound at row %d", i)
 		}
 	}
-	if b := p.Block; b != nil {
-		if p.ASparse == nil {
-			return errors.New("solver: Block structure requires a sparse A")
-		}
-		if b.N <= 0 || b.H <= 0 || b.N*b.H != n {
-			return fmt.Errorf("solver: Block is %d×%d periods, want %d stacked variables", b.N, b.H, n)
-		}
-		wantRows := n + b.H
-		if b.Anchor != nil {
-			if len(b.Anchor) != b.N {
-				return fmt.Errorf("solver: Block anchor has %d entries, want %d", len(b.Anchor), b.N)
-			}
-			wantRows += b.H
-		}
-		if m != wantRows {
-			return fmt.Errorf("solver: Block layout wants %d constraint rows, A has %d", wantRows, m)
-		}
-		if b.Risk == nil || b.Risk.Rows != b.N || b.Risk.Cols != b.N {
-			return errors.New("solver: Block risk matrix missing or mis-shaped")
-		}
-	}
 	return nil
 }
 
@@ -160,60 +92,16 @@ func (p *Problem) Validate() error {
 func (p *Problem) N() int { return len(p.Q) }
 
 // M returns the number of constraint rows.
-func (p *Problem) M() int {
-	if p.A != nil {
-		return p.A.Rows
-	}
-	return p.ASparse.Rows
-}
-
-func (p *Problem) aCols() int {
-	if p.A != nil {
-		return p.A.Cols
-	}
-	return p.ASparse.Cols
-}
-
-// mulA computes Ax into dst through whichever representation is present.
-func (p *Problem) mulA(x, dst linalg.Vector) {
-	if p.ASparse != nil {
-		p.ASparse.MulVec(x, dst)
-		return
-	}
-	p.A.MulVec(x, dst)
-}
-
-// mulAT computes Aᵀy into dst.
-func (p *Problem) mulAT(y, dst linalg.Vector) {
-	if p.ASparse != nil {
-		p.ASparse.MulVecT(y, dst)
-		return
-	}
-	p.A.MulVecT(y, dst)
-}
-
-// applyP computes Px into dst.
-func (p *Problem) applyP(x, dst linalg.Vector) {
-	if p.POp != nil {
-		p.POp.Apply(x, dst)
-		return
-	}
-	p.P.MulVec(x, dst)
-}
+func (p *Problem) M() int { return p.A.Rows }
 
 // Objective evaluates ½xᵀPx + qᵀx.
 func (p *Problem) Objective(x linalg.Vector) float64 {
-	if p.P != nil {
-		return 0.5*p.P.QuadForm(x) + p.Q.Dot(x)
-	}
-	px := linalg.NewVector(len(x))
-	p.POp.Apply(x, px)
-	return 0.5*x.Dot(px) + p.Q.Dot(x)
+	return 0.5*p.P.QuadForm(x) + p.Q.Dot(x)
 }
 
 // Gradient writes Px + q into dst and returns it.
 func (p *Problem) Gradient(x, dst linalg.Vector) linalg.Vector {
-	p.applyP(x, dst)
+	p.P.MulVec(x, dst)
 	for i := range dst {
 		dst[i] += p.Q[i]
 	}
@@ -224,7 +112,7 @@ func (p *Problem) Gradient(x, dst linalg.Vector) linalg.Vector {
 // constraint band.
 func (p *Problem) PrimalInfeasibility(x linalg.Vector) float64 {
 	ax := linalg.NewVector(p.M())
-	p.mulA(x, ax)
+	p.A.MulVec(x, ax)
 	var worst float64
 	for i, v := range ax {
 		if d := p.L[i] - v; d > worst {
@@ -241,15 +129,15 @@ func (p *Problem) PrimalInfeasibility(x linalg.Vector) float64 {
 type Result struct {
 	Status     Status
 	X          linalg.Vector // primal solution
-	Y          linalg.Vector // dual solution for Ax (ADMM only; nil for FISTA)
+	Y          linalg.Vector // dual solution for Ax (SolveADMM only; nil for FISTA)
 	Objective  float64
 	Iterations int
 	PriRes     float64 // final primal residual (inf-norm)
 	DuaRes     float64 // final dual residual (inf-norm)
-	// Warm is the solver state to seed a subsequent solve of a nearby
-	// problem with (see WarmState). Nil on error results.
+	// Warm is the FISTA state to seed a subsequent solve of a nearby
+	// problem with (see WarmState). Nil for SolveADMM.
 	Warm *WarmState
 	// WarmStarted reports whether this solve was seeded from a prior
-	// WarmState (iterates, factorization or Lipschitz cache).
+	// WarmState (iterates or Lipschitz cache).
 	WarmStarted bool
 }

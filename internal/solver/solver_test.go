@@ -286,3 +286,61 @@ func TestADMMOptimalityAgainstFeasiblePoints(t *testing.T) {
 		}
 	}
 }
+
+// Steady-state FISTA iterations must be allocation-free (serial
+// configuration; the parallel pool allocates dispatch closures by design).
+func TestKKTFISTASteadyStateZeroAlloc(t *testing.T) {
+	prev := linalg.ActivePool()
+	linalg.SetPool(nil)
+	defer linalg.SetPool(prev)
+	rng := rand.New(rand.NewSource(47))
+	n, h := 6, 4
+	g := linalg.NewMatrix(n, n)
+	for i := range g.Data {
+		g.Data[i] = rng.NormFloat64()
+	}
+	risk := g.AtA()
+	risk.AddDiag(0.5)
+	blocks := make([]*linalg.Matrix, h)
+	bands := make([]*BoxBand, h)
+	for tau := 0; tau < h; tau++ {
+		blocks[tau] = risk
+		lo := linalg.NewVector(n)
+		hi := linalg.NewVector(n)
+		hi.Fill(0.8)
+		bands[tau] = NewBoxBand(lo, hi, 1, 1.5)
+	}
+	q := linalg.NewVector(n * h)
+	for i := range q {
+		q[i] = rng.NormFloat64()
+	}
+	p := &ProjectedProblem{
+		P: BlockDiagOperator{Blocks: blocks},
+		Q: q,
+		C: NewProductSet(bands),
+	}
+	measure := func(iters int) float64 {
+		st := FISTASettings{MaxIter: iters, Tol: 1e-300}
+		return testing.AllocsPerRun(3, func() { SolveFISTA(p, st) })
+	}
+	if d := measure(600) - measure(100); d != 0 {
+		t.Errorf("FISTA allocates %.1f objects over 500 extra iterations, want 0", d)
+	}
+}
+
+// Steady-state iterations of the reference ADMM are allocation-free too
+// (serial configuration): the KKT factor, the right-hand side and the
+// residual scratch are all built before the loop.
+func TestKKTADMMSteadyStateZeroAlloc(t *testing.T) {
+	prev := linalg.ActivePool()
+	linalg.SetPool(nil)
+	defer linalg.SetPool(prev)
+	gen, _ := portfolioLikeQP(rand.New(rand.NewSource(46)), 24)
+	measure := func(iters int) float64 {
+		st := ADMMSettings{MaxIter: iters, EpsAbs: 1e-300, EpsRel: 1e-300}
+		return testing.AllocsPerRun(3, func() { SolveADMM(gen, st) })
+	}
+	if d := measure(600) - measure(100); d != 0 {
+		t.Errorf("ADMM allocates %.1f objects over 500 extra iterations, want 0", d)
+	}
+}

@@ -25,127 +25,6 @@ func maxAbsDiff(t *testing.T, a, b linalg.Vector) float64 {
 	return mx
 }
 
-// A warm re-solve of the identical problem must reuse the cached KKT
-// factorization, converge in no more iterations than the cold solve, and land
-// on the same solution.
-func TestADMMWarmSameProblem(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	gen, _ := portfolioLikeQP(rng, 12)
-	cold := SolveADMM(gen, ADMMSettings{})
-	if cold.Status != StatusSolved {
-		t.Fatalf("cold solve: status %v", cold.Status)
-	}
-	if cold.WarmStarted {
-		t.Fatal("cold solve must not report WarmStarted")
-	}
-	if !cold.Warm.HasFactorization() {
-		t.Fatal("cold result should carry a KKT factorization")
-	}
-	warm := SolveADMM(gen, ADMMSettings{Warm: cold.Warm})
-	if warm.Status != StatusSolved {
-		t.Fatalf("warm solve: status %v", warm.Status)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("warm solve should report WarmStarted")
-	}
-	if warm.Iterations > cold.Iterations {
-		t.Fatalf("warm took %d iterations vs cold %d", warm.Iterations, cold.Iterations)
-	}
-	if warm.Warm.fact != cold.Warm.fact {
-		t.Fatal("identical problem: cached factorization should be reused")
-	}
-	if d := maxAbsDiff(t, cold.X, warm.X); d > 1e-4 {
-		t.Fatalf("warm and cold solutions differ by %v", d)
-	}
-}
-
-// Perturbing only the linear term keeps the KKT fingerprint (which covers P,
-// A, σ, ρ) intact, so the factorization is still reused — and the warm solve
-// must converge to the *perturbed* problem's solution, not the stale one.
-func TestADMMWarmLinearPerturbationReusesFactor(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	gen, _ := portfolioLikeQP(rng, 10)
-	cold := SolveADMM(gen, ADMMSettings{})
-	if cold.Status != StatusSolved {
-		t.Fatalf("cold solve: status %v", cold.Status)
-	}
-	pert := &Problem{P: gen.P, Q: gen.Q.Clone(), A: gen.A, L: gen.L, U: gen.U}
-	for i := range pert.Q {
-		pert.Q[i] *= 1 + 0.05*rng.Float64()
-	}
-	warm := SolveADMM(pert, ADMMSettings{Warm: cold.Warm})
-	ref := SolveADMM(pert, ADMMSettings{})
-	if warm.Status != StatusSolved || ref.Status != StatusSolved {
-		t.Fatalf("statuses: warm %v, ref %v", warm.Status, ref.Status)
-	}
-	if warm.Warm.fact != cold.Warm.fact {
-		t.Fatal("q-only perturbation: factorization should still be reused")
-	}
-	if d := maxAbsDiff(t, ref.X, warm.X); d > 1e-4 {
-		t.Fatalf("warm solve missed the perturbed optimum by %v", d)
-	}
-	if warm.Iterations > ref.Iterations {
-		t.Fatalf("warm took %d iterations vs cold %d on the perturbed problem",
-			warm.Iterations, ref.Iterations)
-	}
-}
-
-// Perturbing the quadratic term changes the fingerprint: the stale
-// factorization must NOT be reused (it would be numerically wrong), but the
-// warm iterates still seed the solve.
-func TestADMMWarmQuadraticPerturbationRefactors(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	gen, _ := portfolioLikeQP(rng, 8)
-	cold := SolveADMM(gen, ADMMSettings{})
-	if cold.Status != StatusSolved {
-		t.Fatalf("cold solve: status %v", cold.Status)
-	}
-	pp := gen.P.Clone()
-	pp.AddDiag(0.01)
-	pert := &Problem{P: pp, Q: gen.Q, A: gen.A, L: gen.L, U: gen.U}
-	warm := SolveADMM(pert, ADMMSettings{Warm: cold.Warm})
-	ref := SolveADMM(pert, ADMMSettings{})
-	if warm.Status != StatusSolved {
-		t.Fatalf("warm solve: status %v", warm.Status)
-	}
-	if warm.Warm.fact == cold.Warm.fact {
-		t.Fatal("P changed: stale factorization must be dropped")
-	}
-	if !warm.WarmStarted {
-		t.Fatal("iterate seeding should still mark the solve warm")
-	}
-	if d := maxAbsDiff(t, ref.X, warm.X); d > 1e-4 {
-		t.Fatalf("warm solve missed the perturbed optimum by %v", d)
-	}
-}
-
-// problemSig is a value hash: identical data hashes identically, and any
-// change to P, A, σ or ρ changes the fingerprint.
-func TestProblemSigSensitivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	gen, _ := portfolioLikeQP(rng, 6)
-	base := problemSig(gen, 1e-6, 0.1)
-	if again := problemSig(gen, 1e-6, 0.1); again != base {
-		t.Fatal("fingerprint not deterministic")
-	}
-	if problemSig(gen, 1e-6, 0.2) == base {
-		t.Fatal("rho change should change the fingerprint")
-	}
-	if problemSig(gen, 1e-5, 0.1) == base {
-		t.Fatal("sigma change should change the fingerprint")
-	}
-	p2 := &Problem{P: gen.P.Clone(), Q: gen.Q, A: gen.A, L: gen.L, U: gen.U}
-	p2.P.Add(0, 0, 1e-12)
-	if problemSig(p2, 1e-6, 0.1) == base {
-		t.Fatal("P value change should change the fingerprint")
-	}
-	a2 := &Problem{P: gen.P, Q: gen.Q, A: gen.A.Clone(), L: gen.L, U: gen.U}
-	a2.A.Add(0, 0, 1e-12)
-	if problemSig(a2, 1e-6, 0.1) == base {
-		t.Fatal("A value change should change the fingerprint")
-	}
-}
-
 // FISTA warm re-solve: cached Lipschitz estimate and iterates carry over, the
 // solve reports WarmStarted and lands on the same point in no more iterations.
 func TestFISTAWarmSameProblem(t *testing.T) {
@@ -178,21 +57,16 @@ func TestFISTAWarmSameProblem(t *testing.T) {
 }
 
 // ShiftHorizon on the MPO layout: period blocks move one step earlier with
-// the terminal block duplicated; the ADMM z/y vectors shift their box part by
-// one period-block and their per-period aggregate tail by one row.
+// the terminal block duplicated, for the iterate and the momentum partner.
 func TestShiftHorizonMPOLayout(t *testing.T) {
 	w := &WarmState{
 		x:     linalg.Vector{1, 2, 3, 4, 5, 6},
 		xPrev: linalg.Vector{10, 20, 30, 40, 50, 60},
-		z:     linalg.Vector{0, 1, 2, 3, 4, 5, 100, 101, 102},
-		y:     linalg.Vector{-0, -1, -2, -3, -4, -5, -100, -101, -102},
 	}
 	w.ShiftHorizon(2)
 	want := map[string][2]linalg.Vector{
 		"x":     {w.x, {3, 4, 5, 6, 5, 6}},
 		"xPrev": {w.xPrev, {30, 40, 50, 60, 50, 60}},
-		"z":     {w.z, {2, 3, 4, 5, 4, 5, 101, 102, 102}},
-		"y":     {w.y, {-2, -3, -4, -5, -4, -5, -101, -102, -102}},
 	}
 	for name, pair := range want {
 		got, exp := pair[0], pair[1]
@@ -208,92 +82,40 @@ func TestShiftHorizonMPOLayout(t *testing.T) {
 }
 
 // ShiftHorizon must drop iterates it cannot shift meaningfully rather than
-// feed garbage seeds to the next solve, and must be nil-safe.
+// feed garbage seeds to the next solve, keep the layout-independent
+// Lipschitz cache, and be nil-safe.
 func TestShiftHorizonUnknownLayouts(t *testing.T) {
-	// z/y that don't match the h·n+h MPO constraint layout are dropped; x
-	// still shifts.
+	// x not divisible into period blocks: the iterates are dropped.
 	w := &WarmState{
-		x: linalg.Vector{1, 2, 3, 4},
-		z: linalg.Vector{7, 8, 9},
-		y: linalg.Vector{7, 8, 9},
+		x: linalg.Vector{1, 2, 3}, xPrev: linalg.Vector{1, 2, 3},
+		lip: 2, lipVec: linalg.Vector{1, 0, 0},
 	}
 	w.ShiftHorizon(2)
-	if w.z != nil || w.y != nil {
-		t.Fatal("non-MPO z/y layout should be dropped")
-	}
-	if w.x[0] != 3 || w.x[1] != 4 {
-		t.Fatalf("x should still shift: %v", w.x)
-	}
-
-	// x not divisible into period blocks: all iterates dropped.
-	w2 := &WarmState{x: linalg.Vector{1, 2, 3}, xPrev: linalg.Vector{1, 2, 3}}
-	w2.ShiftHorizon(2)
-	if w2.x != nil || w2.xPrev != nil {
+	if w.x != nil || w.xPrev != nil {
 		t.Fatal("indivisible x layout should drop the iterates")
 	}
+	if w.lip != 2 || len(w.lipVec) != 3 {
+		t.Fatal("the Lipschitz cache must survive a dropped shift")
+	}
 
-	// Nil receiver and accessors.
+	// A single period (h = 1) has nothing to shift and stays as it was.
+	w1 := &WarmState{x: linalg.Vector{1, 2}}
+	w1.ShiftHorizon(2)
+	if w1.x[0] != 1 || w1.x[1] != 2 {
+		t.Fatalf("single-period x changed: %v", w1.x)
+	}
+
+	// Nil receiver.
 	var nilW *WarmState
 	nilW.ShiftHorizon(3)
-	if nilW.HasFactorization() {
-		t.Fatal("nil WarmState has no factorization")
-	}
-	if nilW.Primal() != nil {
-		t.Fatal("nil WarmState has no primal")
-	}
-}
-
-// SolveADMMScaled warm path: the Ruiz scaling from the previous round is
-// reapplied (same diagonal → same scaled problem → factorization cache hits
-// too) and the solution still matches the cold solve.
-func TestSolveADMMScaledWarmReusesScaling(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	gen, _ := portfolioLikeQP(rng, 10)
-	cold := SolveADMMScaled(gen, ADMMSettings{})
-	if cold.Status != StatusSolved {
-		t.Fatalf("cold solve: status %v", cold.Status)
-	}
-	if cold.Warm.scaling == nil {
-		t.Fatal("scaled solve should cache its Ruiz scaling")
-	}
-	coldX := cold.X.Clone()
-	warm := SolveADMMScaled(gen, ADMMSettings{Warm: cold.Warm})
-	if warm.Status != StatusSolved {
-		t.Fatalf("warm solve: status %v", warm.Status)
-	}
-	if !warm.WarmStarted {
-		t.Fatal("warm solve should report WarmStarted")
-	}
-	if warm.Warm.scaling != cold.Warm.scaling {
-		t.Fatal("matching dimensions: cached scaling should be reused by pointer")
-	}
-	if !warm.Warm.HasFactorization() {
-		t.Fatal("warm scaled result should carry a factorization")
-	}
-	if d := maxAbsDiff(t, coldX, warm.X); d > 1e-4 {
-		t.Fatalf("warm and cold scaled solutions differ by %v", d)
-	}
 }
 
 // Warm state from a different-dimension problem must be ignored gracefully:
 // no panic, no seeding, and the solve still reaches the correct solution.
 func TestWarmWrongDimensionIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	bigGen, bigProj := portfolioLikeQP(rng, 12)
-	smallGen, smallProj := portfolioLikeQP(rng, 5)
-
-	stale := SolveADMM(bigGen, ADMMSettings{})
-	warm := SolveADMM(smallGen, ADMMSettings{Warm: stale.Warm})
-	ref := SolveADMM(smallGen, ADMMSettings{})
-	if warm.Status != StatusSolved {
-		t.Fatalf("ADMM with mismatched warm state: status %v", warm.Status)
-	}
-	if warm.WarmStarted {
-		t.Fatal("mismatched warm state must not mark the solve warm")
-	}
-	if d := maxAbsDiff(t, ref.X, warm.X); d > 1e-6 {
-		t.Fatalf("mismatched warm state changed the ADMM solution by %v", d)
-	}
+	_, bigProj := portfolioLikeQP(rng, 12)
+	_, smallProj := portfolioLikeQP(rng, 5)
 
 	staleF := SolveFISTA(bigProj, FISTASettings{})
 	warmF := SolveFISTA(smallProj, FISTASettings{Warm: staleF.Warm})

@@ -59,7 +59,7 @@ type (
 	// CatalogConfig parameterizes synthetic catalog generation.
 	CatalogConfig = market.CatalogConfig
 	// OptimizerConfig holds the MPO parameters (α, P, L, AMin/AMax/aMax,
-	// horizon, churn weight, solver backend).
+	// horizon, churn weight).
 	OptimizerConfig = portfolio.Config
 	// Plan is a full multi-period optimizer output.
 	Plan = portfolio.Plan
